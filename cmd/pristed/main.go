@@ -87,7 +87,7 @@ func main() {
 		eps         = flag.Float64("eps", 0.5, "default epsilon-spatiotemporal event privacy")
 		alpha       = flag.Float64("alpha", 1.0, "default initial PLM budget (1/km)")
 		delta       = flag.Float64("delta", -1, "default delta-location-set parameter; negative = plain geo-ind")
-		qpTimeout   = flag.Duration("qp-timeout", time.Second, "conservative-release threshold per candidate; 0 = no limit")
+		qpTimeout   = flag.Duration("qp-timeout", 0, "deprecated and ignored: served steps always use the exact release-condition solver, whose verdicts depend only on the inputs")
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "live-session cap (LRU eviction beyond)")
 		sessionTTL  = flag.Duration("session-ttl", server.DefaultSessionTTL, "idle-session eviction TTL; negative disables")
 		workers     = flag.Int("workers", 0, "step worker pool size; 0 = GOMAXPROCS")
@@ -274,6 +274,9 @@ func main() {
 		banner = append(banner, "rpc_addr", *rpcAddr)
 	}
 	logger.Info("pristed: serving", banner...)
+	if *qpTimeout != 0 {
+		logger.Warn("pristed: -qp-timeout is deprecated and ignored on served steps", "qp_timeout", qpTimeout.String())
+	}
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "pristed:", err)
 		os.Exit(1)

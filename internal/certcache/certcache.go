@@ -12,9 +12,10 @@
 // with one map lookup. Stateful mechanisms (δ-location-set) have
 // session-dependent emissions and must bypass the cache entirely.
 //
-// Unknown (conservative) verdicts are never stored: they encode an
-// expired time budget, not a property of the release, and replaying them
-// would turn one slow solve into a permanent rejection.
+// Unknown (conservative) verdicts are never stored: the cache holds only
+// certified verdicts. An Unknown from an expired branch-and-bound budget
+// is not a property of the release, and replaying it would turn one slow
+// solve into a permanent rejection.
 package certcache
 
 import (

@@ -38,10 +38,12 @@ type Config struct {
 	// MinAlpha is the budget floor triggering the uniform fallback.
 	// Default Alpha·2⁻³⁰.
 	MinAlpha float64
-	// QPTimeout is the conservative-release threshold of §IV-C: the
-	// per-candidate time budget for the quadratic-program checks. An
-	// expired check counts as "not sure" and the candidate is rejected.
-	// Zero means no limit.
+	// QPTimeout is the conservative-release threshold of §IV-C: when
+	// positive, the per-candidate time budget for branch-and-bound
+	// quadratic-program checks, where an expired check counts as "not
+	// sure" and the candidate is rejected. Only the Table III
+	// time-threshold experiment sets it. Zero (the default) selects the
+	// exact solver, so a release depends only on (plan, seed, inputs).
 	QPTimeout time.Duration
 	// QPTol is the positivity tolerance of the condition solver; zero
 	// uses the solver default.
@@ -100,14 +102,13 @@ func (c Config) withDefaults() Config {
 }
 
 // DefaultConfig returns the paper's experiment defaults for a given ε and
-// initial budget: halving decay and a 1-second conservative-release
-// threshold (§V-A).
+// initial budget: halving decay and the exact condition solver (no
+// conservative-release time threshold).
 func DefaultConfig(epsilon, alpha float64) Config {
 	return Config{
-		Epsilon:   epsilon,
-		Alpha:     alpha,
-		Decay:     0.5,
-		QPTimeout: time.Second,
+		Epsilon: epsilon,
+		Alpha:   alpha,
+		Decay:   0.5,
 	}
 }
 
@@ -296,8 +297,9 @@ func (f *Framework) Step(trueLoc int) (StepResult, error) {
 // only), each per-event check is first looked up by (plan, event,
 // timestamp, committed history fingerprint, candidate alphaBits, obs); a
 // hit skips both the quantifier forward pass and the QP solves. Verdicts
-// containing Unknown are never stored — they encode an expired time
-// budget, not a property of the release — so with no QP deadline a
+// containing Unknown (a maximum within the solver's rounding margin of
+// its tolerance, or an expired branch-and-bound budget) are never
+// stored; with no QP deadline the solver is deterministic, so a
 // cache-backed run is decision-for-decision identical to an uncached one.
 //
 // With Config.Shadow, a cache miss first tries the float32 shadow check:

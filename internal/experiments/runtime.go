@@ -179,15 +179,18 @@ func randomPatternInstance(rng *rand.Rand, w *Workload, em *mat.Matrix, length, 
 // TableIIIConfig parameterises the conservative-release threshold sweep.
 type TableIIIConfig struct {
 	Synth SyntheticConfig
-	// Thresholds are the QP time budgets; 0 means "none" (unlimited).
+	// Thresholds are the branch-and-bound time budgets; 0 means "none"
+	// (the exact solver).
 	Thresholds []time.Duration
 	Alpha      float64
 	Epsilon    float64
 }
 
 // DefaultTableIII mirrors Table III with thresholds scaled to this
-// solver's speed (the paper's CPLEX checks take orders of magnitude
-// longer than the rank-one branch-and-bound here).
+// package's solvers (the paper's CPLEX checks take orders of magnitude
+// longer). A positive threshold is the time budget of the rank-one
+// branch-and-bound solver; the 0 ("none") row runs the exact solver that
+// serves releases, which needs no threshold.
 func DefaultTableIII(synth SyntheticConfig) TableIIIConfig {
 	return TableIIIConfig{
 		Synth:      synth,
@@ -217,7 +220,7 @@ func TableIII(cfg TableIIIConfig) (*Table, error) {
 	for _, th := range cfg.Thresholds {
 		spec := ReleaseSpec{Kind: PLM, Alpha: cfg.Alpha, Epsilon: cfg.Epsilon, QPTimeout: th}
 		if th == 0 {
-			spec.QPTimeout = -1 // "none": RunReleases maps this to unlimited
+			spec.QPTimeout = -1 // "none": RunReleases maps this to the exact solver
 		}
 		start := time.Now()
 		runs, err := RunReleases(w, events, spec)

@@ -155,7 +155,7 @@ func RunReleases(w *Workload, events []event.Event, spec ReleaseSpec) ([][]core.
 	if spec.QPTimeout > 0 {
 		cfg.QPTimeout = spec.QPTimeout
 	} else if spec.QPTimeout < 0 {
-		cfg.QPTimeout = 0 // negative spec timeout means "no limit"
+		cfg.QPTimeout = 0 // negative spec timeout means "none": the exact solver
 	}
 	if spec.Decay > 0 {
 		cfg.Decay = spec.Decay

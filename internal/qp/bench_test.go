@@ -1,8 +1,10 @@
 package qp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"priste/internal/mat"
 )
@@ -43,10 +45,10 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckRelease measures the full two-condition release check.
-func BenchmarkCheckRelease(b *testing.B) {
-	n := 100
-	rng := rand.New(rand.NewSource(2))
+// benchCheck is a release check with the PriSTE structure: ãᵢ event
+// probabilities, c̃ marginals and b̃ ≤ c̃·ã joint terms.
+func benchCheck(n int, seed int64) ReleaseCheck {
+	rng := rand.New(rand.NewSource(seed))
 	a := make(mat.Vector, n)
 	c := make(mat.Vector, n)
 	bt := make(mat.Vector, n)
@@ -55,11 +57,34 @@ func BenchmarkCheckRelease(b *testing.B) {
 		c[i] = rng.Float64()
 		bt[i] = c[i] * a[i] * rng.Float64()
 	}
-	chk := ReleaseCheck{ATilde: a, BTilde: bt, CTilde: c, Epsilon: 0.5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CheckRelease(chk, ReleaseOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	return ReleaseCheck{ATilde: a, BTilde: bt, CTilde: c, Epsilon: 0.5}
+}
+
+// benchmarkCheckRelease measures the full two-condition release check at
+// the paper's map sizes under opt.
+func benchmarkCheckRelease(b *testing.B, opt ReleaseOptions) {
+	for _, n := range []int{100, 400, 900} {
+		b.Run(fmt.Sprintf("m%d", n), func(b *testing.B) {
+			chk := benchCheck(n, 2)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := CheckRelease(chk, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkCheckReleaseExact is the served configuration: the exact
+// solver, selected by a zero deadline.
+func BenchmarkCheckReleaseExact(b *testing.B) {
+	benchmarkCheckRelease(b, ReleaseOptions{})
+}
+
+// BenchmarkCheckReleaseBnB is the same check by branch-and-bound under a
+// deadline long enough never to expire, so Exact/BnB is the in-run
+// speed-up of the exact solver.
+func BenchmarkCheckReleaseBnB(b *testing.B) {
+	benchmarkCheckRelease(b, ReleaseOptions{Deadline: time.Hour})
 }

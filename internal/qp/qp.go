@@ -15,6 +15,34 @@
 // conditions holds only on the simplex — so Δ is the correct feasible set
 // and the one implemented here.
 //
+// # Exact solver
+//
+// g always has a maximiser with at most two nonzero coordinates. Let π*
+// be any maximiser and fix s = π*·a. The linear program
+//
+//	max (s·w + q)·π   subject to  π ∈ Δ,  a·π = s
+//
+// has two equality constraints (Σπᵢ = 1 and a·π = s), so it has a basic
+// optimum π' with at most two nonzero coordinates. π* is feasible for it,
+// and every feasible π has π·a = s, where g(π) = (s·w + q)·π; hence
+// g(π') ≥ g(π*), and π' is a maximiser too. The exact maximum is thus the
+// best vertex value aᵢwᵢ+qᵢ or the interior peak of g along one edge
+// λeᵢ+(1−λ)eⱼ, a concave quadratic in λ with a closed-form peak. The
+// solver first checks the best vertex, then tries the O(n log n) envelope
+// bound below on the whole simplex, and only when neither decides scans
+// all O(n²) edges, stopping at the first violation. It needs no heap,
+// node budget or deadline.
+//
+// Floating-point rounding is bounded by an explicit margin,
+// 64·2⁻⁵²·(1 + max a·max|w| + max|q|) (see roundingMargin). A maximum
+// within the margin of Tol cannot be placed on either side of it, so the
+// verdict is Unknown and the caller rejects the candidate — the paper's
+// conservative "not sure ⇒ don't release" rule (§IV-C), but decided by
+// the inputs alone, never by load. CheckRelease uses this solver whenever
+// ReleaseOptions.Deadline is zero, which is every served step.
+//
+// # Branch-and-bound
+//
 // Solve performs branch-and-bound on the scalar s = π·a, which over Δ
 // ranges in [min aᵢ, max aᵢ]. For an interval [sl, sh] every feasible π
 // satisfies
@@ -24,12 +52,11 @@
 // and maximising a linear function c·π over {π ∈ Δ, sl ≤ π·a ≤ sh} is an
 // exact O(n log n) problem: h(s) = max{c·π : π ∈ Δ, a·π = s} is the upper
 // concave envelope of the points (aᵢ, cᵢ), so the node bound is the
-// envelope's maximum over [sl, sh]. Upper bounds are therefore certified,
-// which is what the paper's conservative release (§IV-C) needs: a location
-// is only released when the solver is *sure* both conditions hold. General
-// indefinite QP is NP-hard [Pardalos & Vavasis 1991]; the same time-budget/
-// "not sure ⇒ don't release" escape hatch the paper uses with CPLEX applies
-// here via Options.Deadline.
+// envelope's maximum over [sl, sh]. Upper bounds are therefore certified.
+// Its node budget and Options.Deadline give the paper's CPLEX time
+// threshold; CheckRelease runs it only under a positive
+// ReleaseOptions.Deadline, which the Table III time-threshold experiment
+// sets. Tests also use it as the reference for the exact solver.
 package qp
 
 import (
@@ -83,7 +110,9 @@ const (
 	Satisfied Verdict = iota
 	// Violated means a π with g(π) > Tol was found.
 	Violated
-	// Unknown means the budget ran out with Tol between the bounds.
+	// Unknown means Tol lies between the bounds: the branch-and-bound
+	// budget ran out, or the exact maximum is within the rounding margin
+	// of Tol.
 	Unknown
 )
 
@@ -107,7 +136,8 @@ type Options struct {
 	// violation". Should be a small positive number scaled to the
 	// problem's magnitude. Default 1e-9.
 	Tol float64
-	// MaxNodes caps branch-and-bound nodes. Default 20000.
+	// MaxNodes caps branch-and-bound nodes. Default 20000. This field,
+	// Deadline and AscentPasses apply to branch-and-bound only.
 	MaxNodes int
 	// Deadline, if non-zero, aborts the search when exceeded, returning
 	// Unknown (the paper's conservative-release time threshold).
@@ -139,9 +169,11 @@ type Result struct {
 	BestPi mat.Vector
 	// Upper is a certified upper bound on the maximum.
 	Upper float64
-	// Nodes is the number of branch-and-bound nodes processed.
+	// Nodes is the number of branch-and-bound nodes processed (0 for the
+	// exact solver).
 	Nodes int
-	// Elapsed is the wall time spent.
+	// Elapsed is the wall time branch-and-bound spent (0 for the exact
+	// solver).
 	Elapsed time.Duration
 }
 
@@ -311,10 +343,8 @@ func (w *workspace) nodeBound(sl, sh float64) (float64, []mat.Vector) {
 	ub := math.Inf(-1)
 	var cands []mat.Vector
 	for _, s := range []float64{sl, sh} {
-		for i := range w.c {
-			w.c[i] = s*w.p.W[i] + w.p.Q[i]
-		}
-		val, pi, feasible := w.simplexLP(sl, sh)
+		pi := make(mat.Vector, w.n)
+		val, feasible := w.linearMax(s, sl, sh, pi)
 		if !feasible {
 			return math.Inf(-1), nil
 		}
@@ -324,6 +354,17 @@ func (w *workspace) nodeBound(sl, sh float64) (float64, []mat.Vector) {
 		cands = append(cands, pi)
 	}
 	return ub, cands
+}
+
+// linearMax maximises (s·W + Q)·π subject to π ∈ Δ and sl ≤ a·π ≤ sh,
+// writing an optimal point into pi (zeroed by the caller) when pi is
+// non-nil. It returns the optimal value and feasibility.
+func (w *workspace) linearMax(s, sl, sh float64, pi mat.Vector) (float64, bool) {
+	for i := range w.c {
+		w.c[i] = s*w.p.W[i] + w.p.Q[i]
+	}
+	w.hull = buildHull(w.order, w.p.A, w.c, w.hull[:0])
+	return evalHull(w.hull, sl, sh, pi)
 }
 
 // ascent performs pairwise-exchange sweeps on g over the simplex, improving
@@ -388,9 +429,13 @@ func bestQuadOnInterval(qa, qb, lo, hi float64) float64 {
 	return bx
 }
 
-// simplexLP is the standalone form used by tests; it computes the sort
-// order per call. The solver's hot path uses workspace.simplexLP with the
-// precomputed order instead.
+// simplexLP maximises c·π subject to π ∈ Δ and sl ≤ a·π ≤ sh, with
+// a ≥ 0. h(s) = max{c·π : π ∈ Δ, a·π = s} is the upper concave envelope of
+// the point set {(aᵢ, cᵢ)}; the optimum over the interval is the
+// envelope's peak clamped into [sl, sh]. It returns the optimal value, an
+// optimal point (a vertex or a two-vertex mixture), and feasibility. This
+// standalone form sorts per call; the solvers go through
+// workspace.linearMax with the precomputed order instead.
 func simplexLP(c, a mat.Vector, sl, sh float64) (float64, mat.Vector, bool) {
 	order := make([]int, len(a))
 	for i := range order {
@@ -403,24 +448,20 @@ func simplexLP(c, a mat.Vector, sl, sh float64) (float64, mat.Vector, bool) {
 		}
 		return order[x] < order[y]
 	})
-	hull := buildHull(order, a, c, nil)
-	return evalHull(hull, len(a), sl, sh)
+	pi := make(mat.Vector, len(a))
+	val, ok := evalHull(buildHull(order, a, c, nil), sl, sh, pi)
+	if !ok {
+		return 0, nil, false
+	}
+	return val, pi, true
 }
 
-// simplexLP maximises w.c·π subject to π ∈ Δ and sl ≤ a·π ≤ sh, with
-// a ≥ 0. h(s) = max{c·π : π ∈ Δ, a·π = s} is the upper concave envelope of
-// the point set {(aᵢ, cᵢ)}; the optimum over the interval is the
-// envelope's peak clamped into [sl, sh]. It returns the optimal value, an
-// optimal point (a vertex or a two-vertex mixture), and feasibility.
-func (w *workspace) simplexLP(sl, sh float64) (float64, mat.Vector, bool) {
-	w.hull = buildHull(w.order, w.p.A, w.c, w.hull[:0])
-	return evalHull(w.hull, w.n, sl, sh)
-}
-
-func evalHull(hull []hullPt, n int, sl, sh float64) (float64, mat.Vector, bool) {
+// evalHull returns the envelope's maximum over [sl, sh] and feasibility,
+// writing the attaining mixture into pi when pi is non-nil.
+func evalHull(hull []hullPt, sl, sh float64, pi mat.Vector) (float64, bool) {
 	aMin, aMax := hull[0].x, hull[len(hull)-1].x
 	if sh < aMin-1e-15 || sl > aMax+1e-15 {
-		return 0, nil, false
+		return 0, false
 	}
 	lo := math.Max(sl, aMin)
 	hi := math.Min(sh, aMax)
@@ -434,18 +475,14 @@ func evalHull(hull []hullPt, n int, sl, sh float64) (float64, mat.Vector, bool) 
 			peak = k
 		}
 	}
-	var val float64
-	pi := make(mat.Vector, n)
 	switch {
 	case hull[peak].x >= lo && hull[peak].x <= hi:
-		val = hull[peak].y
-		pi[hull[peak].i] = 1
+		return hullVertex(hull[peak], pi), true
 	case hull[peak].x < lo:
-		val = hullInterp(hull, lo, pi)
+		return hullInterp(hull, lo, pi), true
 	default:
-		val = hullInterp(hull, hi, pi)
+		return hullInterp(hull, hi, pi), true
 	}
-	return val, pi, true
 }
 
 type hullPt struct {
@@ -489,22 +526,31 @@ func cross(a, b, c hullPt) float64 {
 	return (b.x-a.x)*(c.y-a.y) - (c.x-a.x)*(b.y-a.y)
 }
 
-// hullInterp evaluates the envelope at x and writes the attaining mixture
-// into pi (which must be zeroed by the caller). Returns the value.
+// hullInterp evaluates the envelope at x and, when pi is non-nil, writes
+// the attaining mixture into it (zeroed by the caller). Returns the value.
 func hullInterp(hull []hullPt, x float64, pi mat.Vector) float64 {
 	if x <= hull[0].x {
-		pi[hull[0].i] = 1
-		return hull[0].y
+		return hullVertex(hull[0], pi)
 	}
 	last := hull[len(hull)-1]
 	if x >= last.x {
-		pi[last.i] = 1
-		return last.y
+		return hullVertex(last, pi)
 	}
 	k := sort.Search(len(hull), func(k int) bool { return hull[k].x >= x })
 	p1, p2 := hull[k-1], hull[k]
 	lam := (p2.x - x) / (p2.x - p1.x)
-	pi[p1.i] = lam
-	pi[p2.i] = 1 - lam
+	if pi != nil {
+		pi[p1.i] = lam
+		pi[p2.i] = 1 - lam
+	}
 	return lam*p1.y + (1-lam)*p2.y
+}
+
+// hullVertex returns the envelope value at hull point p and, when pi is
+// non-nil, marks p's vertex in it.
+func hullVertex(p hullPt, pi mat.Vector) float64 {
+	if pi != nil {
+		pi[p.i] = 1
+	}
+	return p.y
 }

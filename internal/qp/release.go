@@ -15,8 +15,8 @@ import (
 //	Eq. 15 ⇔ max_π (π·ã)(π·w₁) + π·b̃      ≤ 0, w₁ = (e^ε−1)·b̃ − e^ε·c̃
 //	Eq. 16 ⇔ max_π (π·ã)(π·w₂) − e^ε·(π·b̃) ≤ 0, w₂ = (e^ε−1)·b̃ + c̃
 //
-// (the expansion uses π·1 = 1, and maximising over the box 0 ≤ π ≤ 1 is the
-// paper's conservative relaxation of the set of genuine distributions).
+// where both maxima range over the simplex Δ of initial distributions π
+// (the expansion uses π·1 = 1; see the package documentation).
 type ReleaseCheck struct {
 	// ATilde is ã: ãᵢ = Pr(EVENT | u₀ = sᵢ).
 	ATilde mat.Vector
@@ -33,10 +33,13 @@ type ReleaseCheck struct {
 // ReleaseOptions tunes the two condition solves.
 type ReleaseOptions struct {
 	// Solver options applied to each condition. Tol is interpreted
-	// relative to the scale of the normalised problem.
+	// relative to the scale of the normalised problem; the other fields
+	// apply only to branch-and-bound, that is with a positive Deadline.
 	Solver Options
-	// Deadline is the total budget across both conditions (the paper's
-	// conservative-release threshold); zero means unlimited.
+	// Deadline, when positive, is the total branch-and-bound budget across
+	// both conditions (the paper's conservative-release threshold, which
+	// the Table III experiment varies). Zero selects the exact solver,
+	// whose verdict depends only on the inputs.
 	Deadline time.Duration
 }
 
@@ -46,14 +49,15 @@ type ReleaseDecision struct {
 	// Eq15 and Eq16 are the individual solver results.
 	Eq15, Eq16 Result
 	// Conservative is true when OK is false only because a verdict was
-	// Unknown (budget ran out), not because a violation was found.
+	// Unknown (a maximum within the rounding margin of Tol, or an expired
+	// branch-and-bound budget), not because a violation was found.
 	Conservative bool
 }
 
 // CheckRelease decides whether releasing the candidate observation
-// preserves ε-spatiotemporal event privacy for every initial probability in
-// the box. Following the paper's conservative release, OK is true only when
-// both maxima are certified non-positive.
+// preserves ε-spatiotemporal event privacy for every initial probability
+// π ∈ Δ. Following the paper's conservative release, OK is true only when
+// both maxima are certified not to exceed Tol.
 func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error) {
 	n := len(chk.ATilde)
 	if len(chk.BTilde) != n || len(chk.CTilde) != n {
@@ -74,24 +78,15 @@ func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error)
 			Eq16: Result{Verdict: Satisfied}}, nil
 	}
 	w1, q1, w2, q2 := releaseConditions(chk, scale)
-
-	so := chk.normalisedOptions(opt)
+	cs := newConditionSolver(chk.normalisedOptions(opt), opt.Deadline)
 	dec := ReleaseDecision{}
-	deadline := time.Now().Add(opt.Deadline)
 
-	r15, err := Solve(Problem{A: chk.ATilde, W: w1, Q: q1}, so)
+	r15, err := cs.solve(Problem{A: chk.ATilde, W: w1, Q: q1}, 0)
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.15 solve: %w", err)
 	}
 	dec.Eq15 = r15
-	if opt.Deadline > 0 {
-		if rem := time.Until(deadline); rem <= 0 {
-			so.Deadline = time.Nanosecond
-		} else {
-			so.Deadline = rem
-		}
-	}
-	r16, err := Solve(Problem{A: chk.ATilde, W: w2, Q: q2}, so)
+	r16, err := cs.solve(Problem{A: chk.ATilde, W: w2, Q: q2}, 0)
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.16 solve: %w", err)
 	}
@@ -112,15 +107,15 @@ func releaseConditions(chk ReleaseCheck, scale float64) (w1, q1, w2, q2 mat.Vect
 	n := len(chk.ATilde)
 	inv := 1 / scale
 	b := chk.BTilde.Clone().Scale(inv)
-	c := chk.CTilde.Clone().Scale(inv)
 	eEps := math.Exp(chk.Epsilon)
 	w1 = make(mat.Vector, n)
 	q1 = b
 	w2 = make(mat.Vector, n)
 	q2 = make(mat.Vector, n)
 	for i := 0; i < n; i++ {
-		w1[i] = (eEps-1)*b[i] - eEps*c[i]
-		w2[i] = (eEps-1)*b[i] + c[i]
+		c := chk.CTilde[i] * inv
+		w1[i] = (eEps-1)*b[i] - eEps*c
+		w2[i] = (eEps-1)*b[i] + c
 		q2[i] = -eEps * b[i]
 	}
 	return w1, q1, w2, q2
@@ -148,7 +143,10 @@ func releaseConditions(chk ReleaseCheck, scale float64) (w1, q1, w2, q2 mat.Vect
 // Upper ≤ Tol − Δ, and *decided violated* when it finds
 // Lower > Tol + Δ: in both cases the exact objective provably lands on
 // the same side of Tol, so the decision matches what CheckRelease on
-// the exact vectors would certify. decided is false when the margins
+// the exact vectors would certify. The exact solver (no Deadline) is
+// asked for a band of Δ plus the shadow problem's own rounding margin on
+// top of its margin, so the rounding allowance of the exact-vector solve
+// cannot flip the decision either. decided is false when the margins
 // cannot settle both conditions — the caller must recompute with the
 // exact float64 path. Commit-side state is untouched either way, so
 // release sequences stay bit-identical to the exact path.
@@ -178,38 +176,33 @@ func CheckReleaseShadow(chk ReleaseCheck, eta float64, opt ReleaseOptions) (Rele
 	d1 := maxA*(2*eEps-1)*etaN + etaN
 	d2 := eEps * (maxA + 1) * etaN
 
-	so := chk.normalisedOptions(opt)
-	deadline := time.Now().Add(opt.Deadline)
+	cs := newConditionSolver(chk.normalisedOptions(opt), opt.Deadline)
+	tol := cs.opt.Tol
 	dec := ReleaseDecision{}
 
-	r15, err := Solve(Problem{A: chk.ATilde, W: w1, Q: q1}, so)
+	p15 := Problem{A: chk.ATilde, W: w1, Q: q1}
+	r15, err := cs.solve(p15, d1+roundingMargin(p15))
 	if err != nil {
 		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.15 solve: %w", err)
 	}
 	dec.Eq15 = r15
-	if r15.Verdict == Violated && r15.Lower > so.Tol+d1 {
+	if r15.Verdict == Violated && r15.Lower > tol+d1 {
 		// Certified violation of Eq. 15: reject without solving Eq. 16,
 		// exactly as the exact path's !OK outcome (not conservative).
 		return dec, true, nil
 	}
-	sat15 := r15.Verdict == Satisfied && r15.Upper <= so.Tol-d1
+	sat15 := r15.Verdict == Satisfied && r15.Upper <= tol-d1
 
-	if opt.Deadline > 0 {
-		if rem := time.Until(deadline); rem <= 0 {
-			so.Deadline = time.Nanosecond
-		} else {
-			so.Deadline = rem
-		}
-	}
-	r16, err := Solve(Problem{A: chk.ATilde, W: w2, Q: q2}, so)
+	p16 := Problem{A: chk.ATilde, W: w2, Q: q2}
+	r16, err := cs.solve(p16, d2+roundingMargin(p16))
 	if err != nil {
 		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.16 solve: %w", err)
 	}
 	dec.Eq16 = r16
-	if r16.Verdict == Violated && r16.Lower > so.Tol+d2 {
+	if r16.Verdict == Violated && r16.Lower > tol+d2 {
 		return dec, true, nil
 	}
-	sat16 := r16.Verdict == Satisfied && r16.Upper <= so.Tol-d2
+	sat16 := r16.Verdict == Satisfied && r16.Upper <= tol-d2
 
 	if sat15 && sat16 {
 		dec.OK = true
@@ -225,10 +218,49 @@ func (chk ReleaseCheck) normalisedOptions(opt ReleaseOptions) Options {
 	if so.Tol <= 0 {
 		so.Tol = 1e-9
 	}
-	if opt.Deadline > 0 && (so.Deadline == 0 || so.Deadline > opt.Deadline) {
-		so.Deadline = opt.Deadline
-	}
 	return so
+}
+
+// conditionSolver solves the two conditions of one release check. With
+// no deadline it runs the exact solver, sharing one workspace between the
+// conditions (they have the same A, hence the same hull order); with a
+// deadline it runs branch-and-bound against the remaining budget.
+type conditionSolver struct {
+	opt      Options
+	deadline time.Time // zero: exact solver
+	ws       *workspace
+}
+
+func newConditionSolver(opt Options, budget time.Duration) *conditionSolver {
+	cs := &conditionSolver{opt: opt}
+	if budget > 0 {
+		cs.deadline = time.Now().Add(budget)
+	}
+	return cs
+}
+
+// solve decides p against the tolerance. slack widens the exact solver's
+// undecided band around Tol beyond its rounding margin; branch-and-bound
+// ignores it (callers compare its certified bounds themselves).
+func (cs *conditionSolver) solve(p Problem, slack float64) (Result, error) {
+	if cs.deadline.IsZero() {
+		if err := p.Validate(); err != nil {
+			return Result{}, err
+		}
+		if cs.ws == nil {
+			cs.ws = newWorkspace(p)
+		} else {
+			cs.ws.p = p
+		}
+		return cs.ws.exact(cs.opt.Tol, slack), nil
+	}
+	so := cs.opt
+	if rem := time.Until(cs.deadline); rem <= 0 {
+		so.Deadline = time.Nanosecond
+	} else if so.Deadline == 0 || rem < so.Deadline {
+		so.Deadline = rem
+	}
+	return Solve(p, so)
 }
 
 // FixedPiLoss returns the realised privacy loss for a *known* initial

@@ -68,8 +68,9 @@ type Config struct {
 	// Events are the default protected-event specs ("LO-HI@START-END",
 	// see internal/eventspec) for sessions that do not supply their own.
 	Events []string
-	// QPTimeout is the conservative-release threshold passed to the core
-	// release loop; zero means no limit (fully deterministic stepping).
+	// QPTimeout is ignored, and kept only for compatibility: served steps
+	// always run the exact release-condition solver, so releases depend
+	// only on (plan, seed, inputs) and never on a time budget.
 	QPTimeout time.Duration
 
 	// SparseCutoff, when positive, drops mobility-chain transition
@@ -206,7 +207,6 @@ func DefaultConfig() Config {
 		Mechanism: MechanismLaplace,
 		Delta:     0.05,
 		Events:    []string{"0-9@3-7"},
-		QPTimeout: time.Second,
 	}
 }
 

@@ -766,7 +766,6 @@ func (s *Server) buildPlan(eps, alpha float64, mechName string, delta float64, e
 	}
 	return s.registry.lookup(key, func() (*core.Plan, error) {
 		coreCfg := core.DefaultConfig(eps, alpha)
-		coreCfg.QPTimeout = s.cfg.QPTimeout
 		// Validated in New; the zero mode (auto) is the error fallback.
 		coreCfg.Kernel, _ = s.cfg.kernelMode()
 		coreCfg.Shadow = s.cfg.Shadow

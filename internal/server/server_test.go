@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"priste/internal/api"
 	"priste/internal/core"
@@ -36,7 +37,6 @@ func directFramework(t *testing.T, cfg Config, seed int64) *core.Framework {
 		t.Fatal(err)
 	}
 	coreCfg := core.DefaultConfig(cfg.Epsilon, cfg.Alpha)
-	coreCfg.QPTimeout = cfg.QPTimeout
 	fw, err := core.New(lppm.NewPlanarLaplace(g), world.NewHomogeneous(chain), events, coreCfg, core.NewSessionRNG(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -347,5 +347,46 @@ func TestServerClose(t *testing.T) {
 	out := <-done
 	if !errors.Is(out.err, ErrSessionClosed) {
 		t.Fatalf("pending step after Close: %v, want ErrSessionClosed", out.err)
+	}
+}
+
+// TestQPTimeoutIgnoredOnServedSteps: a server configured with a 1ns
+// QPTimeout — which would expire every branch-and-bound check — serves
+// exactly the releases of one without, with zero conservative rejections.
+func TestQPTimeoutIgnoredOnServedSteps(t *testing.T) {
+	run := func(timeout time.Duration) []StepResponse {
+		cfg := testConfig()
+		cfg.QPTimeout = timeout
+		srv := newTestServer(t, cfg)
+		seed := int64(9)
+		if _, err := srv.CreateSession(CreateSessionRequest{ID: "u", Seed: &seed}); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		var out []StepResponse
+		for k := 0; k < 8; k++ {
+			res, err := srv.Step(bg, "u", (7*k)%(cfg.GridW*cfg.GridH))
+			if err != nil {
+				t.Fatalf("step %d: %v", k, err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	want, got := run(0), run(time.Nanosecond)
+	released := 0
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.Obs != w.Obs || g.Alpha != w.Alpha || g.Attempts != w.Attempts || g.Uniform != w.Uniform {
+			t.Errorf("step %d: QPTimeout=1ns %+v != QPTimeout=0 %+v", k, g, w)
+		}
+		if g.ConservativeRejections != 0 {
+			t.Errorf("step %d: %d conservative rejections", k, g.ConservativeRejections)
+		}
+		if !g.Uniform {
+			released++
+		}
+	}
+	if released == 0 {
+		t.Fatal("every step fell back to the uniform release")
 	}
 }
