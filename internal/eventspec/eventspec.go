@@ -3,6 +3,10 @@
 // event as "LO-HI@START-END": protect the region of states LO..HI
 // (0-based, inclusive, row-major over the map) during timestamps
 // START..END (0-based, inclusive).
+//
+// Specs arrive from untrusted request bodies, and the world model built
+// for an event costs memory linear in its window end and in the number of
+// events, so both are bounded here, before any model is compiled.
 package eventspec
 
 import (
@@ -14,9 +18,19 @@ import (
 	"priste/internal/grid"
 )
 
+// MaxWindowEnd is the largest accepted event window end. Compiling an
+// event allocates 2·(END+1) m-vectors of suffix products, so an
+// unbounded END would let one spec exhaust memory.
+const MaxWindowEnd = 4095
+
+// MaxEvents is the largest number of specs ParseAll accepts. Every
+// session keeps several m×m operators per event.
+const MaxEvents = 64
+
 // Parse parses one "LO-HI@START-END" PRESENCE spec over an m-state map.
-// When horizon > 0 the event window must end before horizon; a
-// non-positive horizon disables the bound (open-ended sessions).
+// The window must end at or before MaxWindowEnd and, when horizon > 0,
+// before horizon; a non-positive horizon disables the horizon bound
+// (open-ended sessions).
 func Parse(spec string, m, horizon int) (event.Event, error) {
 	parts := strings.Split(spec, "@")
 	if len(parts) != 2 {
@@ -33,6 +47,9 @@ func Parse(spec string, m, horizon int) (event.Event, error) {
 	if hi >= m {
 		return nil, fmt.Errorf("eventspec: %q: state %d outside %d-state map", spec, hi, m)
 	}
+	if end > MaxWindowEnd {
+		return nil, fmt.Errorf("eventspec: %q: window end %d exceeds the maximum %d", spec, end, MaxWindowEnd)
+	}
 	if horizon > 0 && end >= horizon {
 		return nil, fmt.Errorf("eventspec: %q: window end %d outside horizon %d", spec, end, horizon)
 	}
@@ -43,8 +60,11 @@ func Parse(spec string, m, horizon int) (event.Event, error) {
 	return event.NewPresence(region, start, end)
 }
 
-// ParseAll parses a list of specs with Parse.
+// ParseAll parses a list of at most MaxEvents specs with Parse.
 func ParseAll(specs []string, m, horizon int) ([]event.Event, error) {
+	if len(specs) > MaxEvents {
+		return nil, fmt.Errorf("eventspec: %d events exceed the maximum %d", len(specs), MaxEvents)
+	}
 	out := make([]event.Event, 0, len(specs))
 	for _, spec := range specs {
 		ev, err := Parse(spec, m, horizon)

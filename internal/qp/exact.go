@@ -21,43 +21,42 @@ func roundingMargin(p Problem) float64 {
 }
 
 // exact decides the workspace's problem against tol. With rm the rounding
-// margin and m = rm + slack, the verdict on the computed maximum is
+// margin, the verdict on the computed maximum is
 //
-//	Satisfied  if max g ≤ tol − m
-//	Violated   if max g > tol + m
+//	Satisfied  if max g ≤ tol − rm
+//	Violated   if max g > tol + rm
 //	Unknown    otherwise,
 //
 // so a maximum the arithmetic cannot place on one side of tol is rejected
 // conservatively (§IV-C), deterministically. It takes the cheapest
 // argument that decides: the best vertex, then the root envelope bound,
-// then the O(n²) edge scan, which stops at the first value above tol + m.
+// then the O(n²) edge scan, which stops at the first value above tol + rm.
 // Lower is the largest value found and BestPi attains it; Upper is the
-// bound or maximum that decided plus rm (so Satisfied ⇔ Upper ≤ tol −
-// slack), or +Inf on a violation, which stops before the maximum is known.
-func (w *workspace) exact(tol, slack float64) Result {
+// bound or maximum that decided plus rm (so Satisfied ⇔ Upper ≤ tol),
+// or +Inf on a violation, which stops before the maximum is known.
+func (w *workspace) exact(tol float64) Result {
 	rm := roundingMargin(w.p)
-	m := rm + slack
 	bi, best := bestVertex(w.p)
 	res := Result{Lower: best, Upper: math.Inf(1), BestPi: mat.NewVector(w.n)}
 	res.BestPi[bi] = 1
-	if best > tol+m {
+	if best > tol+rm {
 		res.Verdict = Violated
 		return res
 	}
-	if ub := w.rootBound(); ub <= tol-m {
+	if ub := w.rootBound(); ub <= tol-rm {
 		res.Verdict, res.Upper = Satisfied, ub+rm
 		return res
 	}
-	v, i, j, lam := w.edgeScan(tol + m)
+	v, i, j, lam := w.edgeScan(tol + rm)
 	if v > best {
 		res.Lower = v
 		res.BestPi[bi] = 0
 		res.BestPi[i], res.BestPi[j] = lam, 1-lam
 	}
 	switch {
-	case res.Lower > tol+m: // the scan stopped early
+	case res.Lower > tol+rm: // the scan stopped early
 		res.Verdict = Violated
-	case res.Lower <= tol-m:
+	case res.Lower <= tol-rm:
 		res.Verdict, res.Upper = Satisfied, res.Lower+rm
 	default:
 		res.Verdict, res.Upper = Unknown, res.Lower+rm

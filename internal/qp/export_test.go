@@ -40,7 +40,7 @@ func solveExact(p Problem, opt Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	return newWorkspace(p).exact(opt.withDefaults().Tol, 0), nil
+	return newWorkspace(p).exact(opt.withDefaults().Tol), nil
 }
 
 // AssertExactAgainstBnB checks the exact solver on p against

@@ -81,12 +81,12 @@ func CheckRelease(chk ReleaseCheck, opt ReleaseOptions) (ReleaseDecision, error)
 	cs := newConditionSolver(chk.normalisedOptions(opt), opt.Deadline)
 	dec := ReleaseDecision{}
 
-	r15, err := cs.solve(Problem{A: chk.ATilde, W: w1, Q: q1}, 0)
+	r15, err := cs.solve(Problem{A: chk.ATilde, W: w1, Q: q1})
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.15 solve: %w", err)
 	}
 	dec.Eq15 = r15
-	r16, err := cs.solve(Problem{A: chk.ATilde, W: w2, Q: q2}, 0)
+	r16, err := cs.solve(Problem{A: chk.ATilde, W: w2, Q: q2})
 	if err != nil {
 		return ReleaseDecision{}, fmt.Errorf("qp: Eq.16 solve: %w", err)
 	}
@@ -121,98 +121,6 @@ func releaseConditions(chk ReleaseCheck, scale float64) (w1, q1, w2, q2 mat.Vect
 	return w1, q1, w2, q2
 }
 
-// CheckReleaseShadow is CheckRelease over *approximate* (b̃, c̃) — the
-// float32 shadow check path — with certified error margins. chk's
-// BTilde/CTilde may differ from the exact float64 vectors by a common
-// positive scale (which cancels: both conditions are homogeneous in
-// (b̃, c̃)) plus a per-component absolute error of at most eta relative
-// to the vectors' maximum (world.ShadowEta for the engine's shadow
-// pipeline). ATilde and Epsilon must be exact.
-//
-// The decision margin: after the joint rescale both |b̂ᵢ|, |ĉᵢ| ≤ 1, so
-// the shadow-vs-exact perturbation of each normalised component is at
-// most etaN = 2·eta (the normalisation scale is itself a shadow
-// quantity). Over the simplex π·v ≤ max vᵢ for the linear parts and
-// π·ã ≤ max ãᵢ for the quadratic factor, so the objective error is
-// bounded by
-//
-//	Δ₁ = maxA·(2e^ε−1)·etaN + etaN        (Eq. 15)
-//	Δ₂ = e^ε·(maxA + 1)·etaN              (Eq. 16)
-//
-// A condition is *decided satisfied* when the solver certifies
-// Upper ≤ Tol − Δ, and *decided violated* when it finds
-// Lower > Tol + Δ: in both cases the exact objective provably lands on
-// the same side of Tol, so the decision matches what CheckRelease on
-// the exact vectors would certify. The exact solver (no Deadline) is
-// asked for a band of Δ plus the shadow problem's own rounding margin on
-// top of its margin, so the rounding allowance of the exact-vector solve
-// cannot flip the decision either. decided is false when the margins
-// cannot settle both conditions — the caller must recompute with the
-// exact float64 path. Commit-side state is untouched either way, so
-// release sequences stay bit-identical to the exact path.
-func CheckReleaseShadow(chk ReleaseCheck, eta float64, opt ReleaseOptions) (ReleaseDecision, bool, error) {
-	n := len(chk.ATilde)
-	if len(chk.BTilde) != n || len(chk.CTilde) != n {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow check length mismatch a=%d b=%d c=%d",
-			n, len(chk.BTilde), len(chk.CTilde))
-	}
-	if chk.Epsilon <= 0 || math.IsNaN(chk.Epsilon) || math.IsInf(chk.Epsilon, 0) {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: epsilon must be positive and finite, got %g", chk.Epsilon)
-	}
-	if eta <= 0 || eta >= 1e-3 {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: implausible shadow eta %g", eta)
-	}
-	scale := math.Max(chk.BTilde.AbsMax(), chk.CTilde.AbsMax())
-	if scale == 0 {
-		// The shadow vectors collapsed; the exact ones may not have.
-		// Only the exact path can certify the trivially-safe case.
-		return ReleaseDecision{}, false, nil
-	}
-	w1, q1, w2, q2 := releaseConditions(chk, scale)
-
-	maxA := chk.ATilde.AbsMax()
-	eEps := math.Exp(chk.Epsilon)
-	etaN := 2 * eta
-	d1 := maxA*(2*eEps-1)*etaN + etaN
-	d2 := eEps * (maxA + 1) * etaN
-
-	cs := newConditionSolver(chk.normalisedOptions(opt), opt.Deadline)
-	tol := cs.opt.Tol
-	dec := ReleaseDecision{}
-
-	p15 := Problem{A: chk.ATilde, W: w1, Q: q1}
-	r15, err := cs.solve(p15, d1+roundingMargin(p15))
-	if err != nil {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.15 solve: %w", err)
-	}
-	dec.Eq15 = r15
-	if r15.Verdict == Violated && r15.Lower > tol+d1 {
-		// Certified violation of Eq. 15: reject without solving Eq. 16,
-		// exactly as the exact path's !OK outcome (not conservative).
-		return dec, true, nil
-	}
-	sat15 := r15.Verdict == Satisfied && r15.Upper <= tol-d1
-
-	p16 := Problem{A: chk.ATilde, W: w2, Q: q2}
-	r16, err := cs.solve(p16, d2+roundingMargin(p16))
-	if err != nil {
-		return ReleaseDecision{}, false, fmt.Errorf("qp: shadow Eq.16 solve: %w", err)
-	}
-	dec.Eq16 = r16
-	if r16.Verdict == Violated && r16.Lower > tol+d2 {
-		return dec, true, nil
-	}
-	sat16 := r16.Verdict == Satisfied && r16.Upper <= tol-d2
-
-	if sat15 && sat16 {
-		dec.OK = true
-		return dec, true, nil
-	}
-	// Margins too tight to certify either way: ambiguous, recompute
-	// exactly.
-	return dec, false, nil
-}
-
 func (chk ReleaseCheck) normalisedOptions(opt ReleaseOptions) Options {
 	so := opt.Solver
 	if so.Tol <= 0 {
@@ -239,10 +147,8 @@ func newConditionSolver(opt Options, budget time.Duration) *conditionSolver {
 	return cs
 }
 
-// solve decides p against the tolerance. slack widens the exact solver's
-// undecided band around Tol beyond its rounding margin; branch-and-bound
-// ignores it (callers compare its certified bounds themselves).
-func (cs *conditionSolver) solve(p Problem, slack float64) (Result, error) {
+// solve decides p against the tolerance.
+func (cs *conditionSolver) solve(p Problem) (Result, error) {
 	if cs.deadline.IsZero() {
 		if err := p.Validate(); err != nil {
 			return Result{}, err
@@ -252,7 +158,7 @@ func (cs *conditionSolver) solve(p Problem, slack float64) (Result, error) {
 		} else {
 			cs.ws.p = p
 		}
-		return cs.ws.exact(cs.opt.Tol, slack), nil
+		return cs.ws.exact(cs.opt.Tol), nil
 	}
 	so := cs.opt
 	if rem := time.Until(cs.deadline); rem <= 0 {

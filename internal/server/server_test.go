@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -269,6 +270,18 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := client.CreateSession(ctx, CreateSessionRequest{Events: []string{"nope"}}); api.CodeOf(err) != api.CodeInvalidArgument {
 		t.Fatalf("bad event spec: %v, want invalid_argument", err)
 	}
+	// Oversized event window or event count: refused before any model is
+	// compiled (a 2e9-step window would otherwise allocate ~4e9 m-vectors).
+	hugeWindow := []string{"0-0@0-2000000000"}
+	manyEvents := make([]string, eventspec.MaxEvents+1)
+	for i := range manyEvents {
+		manyEvents[i] = "0-0@0-2"
+	}
+	for _, evs := range [][]string{hugeWindow, manyEvents} {
+		if _, err := client.CreateSession(ctx, CreateSessionRequest{Events: evs}); api.CodeOf(err) != api.CodeInvalidArgument || !strings.Contains(err.Error(), "exceed") {
+			t.Fatalf("create with %d events (first %q): %v, want invalid_argument", len(evs), evs[0], err)
+		}
+	}
 	// Bad mechanism.
 	if _, err := client.CreateSession(ctx, CreateSessionRequest{Mechanism: "rot13"}); api.CodeOf(err) != api.CodeInvalidArgument {
 		t.Fatalf("bad mechanism: %v, want invalid_argument", err)
@@ -279,6 +292,18 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if _, err := client.CreateSession(ctx, CreateSessionRequest{ID: "dup"}); !errors.Is(err, ErrSessionExists) {
 		t.Fatalf("duplicate id: %v, want ErrSessionExists", err)
+	}
+	// The same bounds hold for an imported session's events.
+	exp, err := client.ExportSession(ctx, "dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.ID = "imported"
+	for _, evs := range [][]string{hugeWindow, manyEvents} {
+		exp.Events = evs
+		if _, err := client.ImportSession(ctx, exp); api.CodeOf(err) != api.CodeInvalidArgument || !strings.Contains(err.Error(), "exceed") {
+			t.Fatalf("import with %d events (first %q): %v, want invalid_argument", len(evs), evs[0], err)
+		}
 	}
 	// Out-of-range location is a per-request 400; the session survives.
 	if _, err := client.Step(ctx, "dup", 9999); api.CodeOf(err) != api.CodeInvalidArgument {

@@ -64,13 +64,6 @@ type ModelOptions struct {
 	// SparseThreshold overrides DefaultSparseThreshold for KernelAuto;
 	// zero or negative uses the default.
 	SparseThreshold float64
-	// Shadow additionally compiles float32 copies of the step kernels,
-	// enabling the quantifier's float32 shadow check path (ShadowCheck):
-	// candidate checks run against float32 operators and are accepted or
-	// rejected directly when the qp decision margin exceeds the
-	// certified error bound, with exact float64 recompute on ambiguous
-	// margins. Commit always runs exact float64.
-	Shadow bool
 }
 
 func (o ModelOptions) threshold() float64 {
@@ -115,10 +108,6 @@ type stepKernel struct {
 	// the backward dispatch's density input, scanned once per kernel
 	// instead of once per commit.
 	tNNZ int
-
-	// float32 shadow forms (ModelOptions.Shadow only).
-	m32 *mat.Matrix32
-	c32 *mat.CSR32
 }
 
 // compileKernel builds the kernel for one transition matrix. lazyT
@@ -135,14 +124,6 @@ func compileKernel(m *mat.Matrix, opts ModelOptions, lazyT bool) *stepKernel {
 	default:
 		if c := mat.CSRFromDense(m); c.Density() <= opts.threshold() {
 			k.csr = c
-		}
-	}
-	if opts.Shadow {
-		if k.csr != nil {
-			k.c32 = k.csr.Shadow32()
-		} else {
-			// Transition entries live in [0,1]: no rescale needed.
-			k.m32 = mat.Shadow32Scaled(m, 1)
 		}
 	}
 	if !lazyT {
@@ -199,20 +180,6 @@ func (k *stepKernel) mulVecInto(dst, x mat.Vector) {
 		return
 	}
 	k.dense.MulVecInto(dst, x)
-}
-
-// mulVec32Into stores M·x into dst through the float32 shadow kernel
-// with float64 accumulation, reporting whether a shadow form exists.
-func (k *stepKernel) mulVec32Into(dst, x mat.Vector) bool {
-	if k.c32 != nil {
-		k.c32.MulVecInto(dst, x)
-		return true
-	}
-	if k.m32 != nil {
-		k.m32.MulVecInto(dst, x)
-		return true
-	}
-	return false
 }
 
 // forwardMul stores a·M into dst (the forward Commit update X = A·M),
