@@ -37,10 +37,14 @@
 // per transport.
 //
 // When the run includes the kernel-comparison benchmarks (BenchmarkCommit
-// over the chain=/kernel= grid, BenchmarkMulNaive400/BenchmarkMulBlocked400),
-// benchjson derives a "kernels" section pairing each adaptive path against
-// its in-run reference — adaptive dense vs the naive oracle kernels,
-// banded-dense vs CSR over the truncated chain, blocked vs naive product.
+// over the chain=/kernel= grid, BenchmarkMulNaive400 against
+// BenchmarkMulBlocked400 and BenchmarkMulSIMD400), benchjson derives a
+// "kernels" section pairing each adaptive path against its in-run
+// reference — adaptive dense vs the naive oracle kernels, banded-dense vs
+// CSR over the truncated chain, blocked and SIMD vs naive product. These
+// ratios hold across machines where the absolute numbers do not; the
+// document records the machine beside them (cpu_model, num_cpu, and
+// avx2_kernel: whether the AVX2 micro-kernel ran).
 //
 // Sweep mode (-cpu 1,2,4,8) runs the whole spec once per listed
 // GOMAXPROCS value, each in its own `go test` subprocess with the
@@ -80,6 +84,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"priste/internal/mat"
 )
 
 // Result is one parsed benchmark line.
@@ -161,14 +167,20 @@ type ScalingRow struct {
 
 // Doc is the output document.
 type Doc struct {
-	GeneratedAt string           `json:"generated_at"`
-	GoVersion   string           `json:"go_version"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	Benchtime   string           `json:"benchtime,omitempty"`
-	Results     []Result         `json:"results"`
-	Stages      []StageBreakdown `json:"stages,omitempty"`
-	ServingGap  []ServingGap     `json:"serving_gap,omitempty"`
-	Kernels     *KernelSection   `json:"kernels,omitempty"`
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	// CPUModel is the first "model name" of /proc/cpuinfo (empty where
+	// unreadable), NumCPU is runtime.NumCPU, and AVX2Kernel reports
+	// whether mat.MulSIMDInto runs the AVX2 micro-kernel here.
+	CPUModel   string           `json:"cpu_model,omitempty"`
+	NumCPU     int              `json:"num_cpu"`
+	AVX2Kernel bool             `json:"avx2_kernel"`
+	Benchtime  string           `json:"benchtime,omitempty"`
+	Results    []Result         `json:"results"`
+	Stages     []StageBreakdown `json:"stages,omitempty"`
+	ServingGap []ServingGap     `json:"serving_gap,omitempty"`
+	Kernels    *KernelSection   `json:"kernels,omitempty"`
 	// CPUSweep holds every per-GOMAXPROCS run of a -cpu sweep
 	// (including the base run); ParallelScaling the derived
 	// speedup/efficiency rows against the base run.
@@ -204,6 +216,9 @@ func main() {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
+		NumCPU:      runtime.NumCPU(),
+		AVX2Kernel:  mat.SIMD(),
 		Benchtime:   *benchtime,
 	}
 	if len(cpus) == 0 {
@@ -250,6 +265,21 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: wrote %d results to %s\n", len(doc.Results), *out)
+}
+
+// cpuModel returns the first "model name" line of /proc/cpuinfo, or ""
+// where the file is unreadable (non-Linux) or has no such line.
+func cpuModel() string {
+	buf, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // parseCPUList parses the -cpu flag: a comma-separated list of positive
@@ -426,6 +456,9 @@ func kernelSection(results []Result) *KernelSection {
 		{"blocked_vs_naive_mul_m400",
 			"BenchmarkMulNaive400",
 			"BenchmarkMulBlocked400", "ns/op"},
+		{"simd_vs_naive_mul_m400",
+			"BenchmarkMulNaive400",
+			"BenchmarkMulSIMD400", "ns/op"},
 	}
 	sec := &KernelSection{}
 	for _, p := range pairs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"priste/internal/event"
@@ -97,11 +98,39 @@ func TestDenseSparseReleaseEquivalence(t *testing.T) {
 	}
 }
 
+// gaussPlan compiles a plan over the served world: a 10×10 grid under
+// the dense Gaussian chain (σ = 1) with a PRESENCE event over states 0–9
+// in window 3–7. m = 100 = 12·8+4 exercises the AVX2 kernel's 8- and
+// 4-column tiles, and the dense operators reach the blocked branch of
+// both the forward and the backward update.
+func gaussPlan(t *testing.T, mode world.KernelMode) *Plan {
+	t.Helper()
+	g := grid.MustNew(10, 10, 1)
+	chain, err := markov.GaussianChain(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := grid.RegionRange(g.States(), 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := event.MustNewPresence(region, 3, 7)
+	cfg := DefaultConfig(0.5, 1.0)
+	cfg.Kernel = mode
+	plan, err := NewPlan(SharedMechanism(lppm.NewPlanarLaplace(g)), world.NewHomogeneous(chain),
+		[]event.Event{ev}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // TestOracleAdaptiveReleaseEquivalence extends the release-sequence
 // oracle across kernel modes: the naive-reference oracle kernels, the
 // adaptive dense dispatch (banded/naive/blocked) and the CSR kernels must
 // all release identically to each other — same observations, budgets,
-// attempt counts, fingerprints.
+// attempt counts, fingerprints — on the lazy walk and on the served
+// dense Gaussian world.
 func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 	const seed, steps = 7, 14
 
@@ -109,39 +138,55 @@ func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 		name string
 		plan *Plan
 	}
+	walk := func(variants []variant) []*Framework {
+		t.Helper()
+		sessions := make([]*Framework, len(variants))
+		for i, v := range variants {
+			f, err := v.plan.NewSession(NewSessionRNG(seed))
+			if err != nil {
+				t.Fatalf("%s: %v", v.name, err)
+			}
+			sessions[i] = f
+		}
+		m := variants[0].plan.States()
+		for k := 0; k < steps; k++ {
+			loc := (k * 7) % m
+			ref, err := sessions[0].Step(loc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(sessions); i++ {
+				r, err := sessions[i].Step(loc)
+				if err != nil {
+					t.Fatalf("%s step %d: %v", variants[i].name, k, err)
+				}
+				if r.Obs != ref.Obs || r.Alpha != ref.Alpha || r.Attempts != ref.Attempts || r.Uniform != ref.Uniform {
+					t.Fatalf("%s step %d diverged: %+v vs oracle %+v", variants[i].name, k, r, ref)
+				}
+				if sessions[i].Fingerprint() != sessions[0].Fingerprint() {
+					t.Fatalf("%s step %d: fingerprint diverged", variants[i].name, k)
+				}
+				// The fingerprint folds releases only; b̃ and c̃ are read
+				// off the operators, so they pin the operators' bits too.
+				got, want := sessions[i].quants[0].Current(), sessions[0].quants[0].Current()
+				for j := range want.BTilde {
+					if math.Float64bits(got.BTilde[j]) != math.Float64bits(want.BTilde[j]) ||
+						math.Float64bits(got.CTilde[j]) != math.Float64bits(want.CTilde[j]) {
+						t.Fatalf("%s step %d: b̃/c̃[%d] = %v/%v, oracle %v/%v", variants[i].name, k, j,
+							got.BTilde[j], got.CTilde[j], want.BTilde[j], want.CTilde[j])
+					}
+				}
+			}
+		}
+		return sessions
+	}
+
 	variants := []variant{
 		{"oracle", kernelPlan(t, world.KernelOracle)},
 		{"adaptive", kernelPlan(t, world.KernelDense)},
 		{"sparse", kernelPlan(t, world.KernelSparse)},
 	}
-	sessions := make([]*Framework, len(variants))
-	for i, v := range variants {
-		f, err := v.plan.NewSession(NewSessionRNG(seed))
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		sessions[i] = f
-	}
-	m := variants[0].plan.States()
-	for k := 0; k < steps; k++ {
-		loc := (k * 7) % m
-		ref, err := sessions[0].Step(loc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < len(sessions); i++ {
-			r, err := sessions[i].Step(loc)
-			if err != nil {
-				t.Fatalf("%s step %d: %v", variants[i].name, k, err)
-			}
-			if r.Obs != ref.Obs || r.Alpha != ref.Alpha || r.Attempts != ref.Attempts || r.Uniform != ref.Uniform {
-				t.Fatalf("%s step %d diverged: %+v vs oracle %+v", variants[i].name, k, r, ref)
-			}
-			if sessions[i].Fingerprint() != sessions[0].Fingerprint() {
-				t.Fatalf("%s step %d: fingerprint diverged", variants[i].name, k)
-			}
-		}
-	}
+	sessions := walk(variants)
 
 	// Sparse-session snapshots restore across variants too.
 	snap, err := sessions[2].Snapshot()
@@ -154,5 +199,28 @@ func TestOracleAdaptiveReleaseEquivalence(t *testing.T) {
 	}
 	if restored.Fingerprint() != sessions[2].Fingerprint() {
 		t.Fatalf("sparse→oracle restore fingerprint mismatch")
+	}
+
+	gauss := []variant{
+		{"oracle", gaussPlan(t, world.KernelOracle)},
+		{"gauss-adaptive", gaussPlan(t, world.KernelDense)},
+	}
+	sessions = walk(gauss)
+	if ks := gauss[1].plan.KernelStats(); ks.Blocked == 0 {
+		t.Fatalf("dense Gaussian walk never reached the blocked kernel: %+v", ks)
+	}
+
+	// An oracle snapshot replays through the blocked kernels to the same
+	// fingerprint.
+	snap, err = sessions[0].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err = gauss[1].plan.Restore(snap, NewSessionRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Fingerprint() != sessions[0].Fingerprint() {
+		t.Fatalf("oracle→adaptive restore of the Gaussian session: fingerprint mismatch")
 	}
 }

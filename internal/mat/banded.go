@@ -105,18 +105,21 @@ func mulBandRows(dst, a, b *Matrix, aBand, bBand, lo, hi int) {
 	}
 }
 
-// NNZ counts the nonzero entries of a. The adaptive dense dispatch uses
-// it to decide between the skip-based naive kernel (wins below ~50%
-// density) and the blocked kernel; the scan is ~0.5% of a blocked m=400
-// product.
-func (a *Matrix) NNZ() int {
+// NNZUpTo counts the nonzero entries of a, stopping once the count
+// reaches limit: it returns min(nonzeros, limit). The adaptive dense
+// dispatch uses it to decide between the skip-based naive kernel (wins
+// below ~50% density) and the blocked kernel, so a dense operator is
+// scanned only until half its entries are counted.
+func (a *Matrix) NNZUpTo(limit int) int {
 	n := 0
-	for _, v := range a.Data {
-		if v != 0 {
-			n++
+	for i := 0; i < a.Rows && n < limit; i++ {
+		for _, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			if v != 0 {
+				n++
+			}
 		}
 	}
-	return n
+	return min(n, limit)
 }
 
 // parallelVecFlops is the multiply-add count above which the banded

@@ -79,3 +79,21 @@ func TestMulVecBandIntoMatchesDot(t *testing.T) {
 		}
 	}
 }
+
+func TestNNZUpTo(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, zero := range []float64{0, 0.5, 0.95, 1} {
+		a := randomNonNeg(rng, 13, 11, zero)
+		nnz := 0
+		for _, v := range a.Data {
+			if v != 0 {
+				nnz++
+			}
+		}
+		for _, limit := range []int{0, 1, max(0, nnz-1), nnz, nnz + 1, len(a.Data), len(a.Data) + 5} {
+			if got, want := a.NNZUpTo(limit), min(nnz, limit); got != want {
+				t.Errorf("zero=%g nnz=%d: NNZUpTo(%d) = %d, want %d", zero, nnz, limit, got, want)
+			}
+		}
+	}
+}

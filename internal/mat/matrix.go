@@ -181,6 +181,20 @@ const parallelFlops = 1 << 24
 // row-major storage; products large enough to matter (the 400-state maps
 // of the paper's experiments) are split row-wise across the shared pool.
 func MulInto(dst, a, b *Matrix) {
+	checkMul(dst, a, b)
+	// Branch before the closure literal: the serial path must not
+	// materialise a func value, keeping the hot multiply at 0 allocs/op
+	// (asserted by TestSerialKernelsZeroAlloc).
+	if !par.Default().Parallel(a.Rows, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), parallelFlops) {
+		mulRows(dst, a, b, 0, a.Rows)
+		return
+	}
+	par.Default().For(a.Rows, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
+}
+
+// checkMul panics unless dst = a·b is well-shaped and dst aliases
+// neither operand.
+func checkMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul inner dims %d vs %d", a.Cols, b.Rows))
 	}
@@ -190,14 +204,6 @@ func MulInto(dst, a, b *Matrix) {
 	if sameBacking(dst.Data, a.Data) || sameBacking(dst.Data, b.Data) {
 		panic("mat: MulInto dst aliases an operand")
 	}
-	// Branch before the closure literal: the serial path must not
-	// materialise a func value, keeping the hot multiply at 0 allocs/op
-	// (asserted by TestSerialKernelsZeroAlloc).
-	if !par.Default().Parallel(a.Rows, int64(a.Rows)*int64(a.Cols)*int64(b.Cols), parallelFlops) {
-		mulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	par.Default().For(a.Rows, func(lo, hi int) { mulRows(dst, a, b, lo, hi) })
 }
 
 // mulRows computes rows [lo,hi) of dst = a·b.

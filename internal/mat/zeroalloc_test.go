@@ -37,6 +37,7 @@ func TestSerialKernelsZeroAlloc(t *testing.T) {
 	}{
 		{"MulInto", func() { MulInto(dst, a, b) }},
 		{"MulABtInto", func() { MulABtInto(dst, a, bt) }},
+		{"MulSIMDInto", func() { MulSIMDInto(dst, a, b) }},
 		{"MulBandInto", func() { MulBandInto(dst, a, b, n-1, n-1) }},
 		{"MulVecBandInto", func() { MulVecBandInto(y, a, x, n-1) }},
 		{"MulCSRInto", func() { MulCSRInto(dst, a, csr) }},

@@ -19,9 +19,11 @@ const (
 	// KernelDense forces the dense kernels. The dense path dispatches
 	// each operator product adaptively — banded while the tracked
 	// operator bandwidth beats dense flops, otherwise the skip-based
-	// naive loop below ~50% operator density and the blocked
-	// register-tiled kernel above it. All three produce bit-identical
-	// results (see mat.MulABtInto, mat.MulBandInto).
+	// naive loop below ~50% operator density and the blocked kernel
+	// above it (the AVX2 micro-kernel where the CPU has it, the
+	// register-tiled transpose kernel otherwise). All of them produce
+	// bit-identical results (see mat.MulSIMDInto, mat.MulABtInto,
+	// mat.MulBandInto).
 	KernelDense
 	// KernelSparse forces CSR regardless of density (test mode; a dense
 	// matrix through CSR is slower, not wrong).
@@ -104,10 +106,10 @@ type stepKernel struct {
 	// dispatch consumes it.
 	bw     int
 	oracle bool
-	// tNNZ is the nonzero count of denseT, fixed at materialisation —
-	// the backward dispatch's density input, scanned once per kernel
-	// instead of once per commit.
-	tNNZ int
+	// tHalfDense reports whether at least half of denseT is nonzero,
+	// fixed at materialisation — the backward dispatch's density input,
+	// scanned once per kernel instead of once per commit.
+	tHalfDense bool
 }
 
 // compileKernel builds the kernel for one transition matrix. lazyT
@@ -138,7 +140,7 @@ func (k *stepKernel) materialiseTranspose() {
 		k.csrT = k.csr.Transpose()
 	} else {
 		k.denseT = k.dense.Transpose()
-		k.tNNZ = k.denseT.NNZ()
+		k.tHalfDense = halfDense(k.denseT)
 	}
 }
 
@@ -167,6 +169,15 @@ func bandedWins(m, aBand, bBand int) bool {
 	return 2*flops < int64(m)*int64(m)*int64(m)
 }
 
+// halfDense reports whether at least half of a's entries are nonzero:
+// above that the blocked kernel beats the zero-skipping naive loop. The
+// count stops at the half-way mark, so a dense operator is scanned only
+// halfway.
+func halfDense(a *mat.Matrix) bool {
+	n := len(a.Data)
+	return 2*a.NNZUpTo((n+1)/2) >= n
+}
+
 // mulVecInto stores M·x into dst. dst must not alias x. The dense
 // non-oracle path restricts the row dots to M's band (bit-identical:
 // the skipped entries are exact zeros).
@@ -186,9 +197,10 @@ func (k *stepKernel) mulVecInto(dst, x mat.Vector) {
 // where a is a forward operator with tracked bandwidth aBand (pass
 // ≥ m−1 when unknown/full). dst must not alias a. The dense non-oracle
 // path picks, in order: the banded kernel while the band beats dense
-// flops, the skip-based naive loop while a is under ~50% dense (a
-// nonzero scan costs ~0.5% of a blocked product), and the blocked
-// register-tiled kernel otherwise. All paths are bit-identical.
+// flops, the skip-based naive loop while a is under ~50% dense, and the
+// blocked kernel otherwise — the AVX2 micro-kernel on a·M where the CPU
+// has it, else the register-tiled kernel on M's precomputed transpose.
+// All paths are bit-identical.
 func (k *stepKernel) forwardMul(dst, a *mat.Matrix, aBand int, kc *kernelCounters) {
 	if k.csr != nil {
 		mat.MulCSRInto(dst, a, k.csr)
@@ -204,22 +216,27 @@ func (k *stepKernel) forwardMul(dst, a *mat.Matrix, aBand int, kc *kernelCounter
 		kc.banded.Add(1)
 		return
 	}
-	if 2*a.NNZ() < m*m {
+	if !halfDense(a) {
 		mat.MulInto(dst, a, k.dense)
+		return
+	}
+	kc.blocked.Add(1)
+	if mat.SIMD() {
+		mat.MulSIMDInto(dst, a, k.dense)
 		return
 	}
 	if k.denseT == nil {
 		k.materialiseTranspose()
 	}
 	mat.MulABtInto(dst, a, k.denseT)
-	kc.blocked.Add(1)
 }
 
 // backwardMul stores Mᵀ·b into dst (the backward Commit update), where
 // b is the backward accumulator with tracked bandwidth bBand. dst must
-// not alias b. tScratch is caller scratch (≥ b's shape) the blocked
-// path may overwrite with bᵀ; the blocked kernel wants the right
-// operand transposed, and transposing b costs ~2% of the product.
+// not alias b. tScratch is caller scratch (≥ b's shape) the portable
+// blocked path may overwrite with bᵀ: the register-tiled kernel wants
+// the right operand transposed, and transposing b costs ~2% of its
+// product. The AVX2 micro-kernel takes b as it is.
 func (k *stepKernel) backwardMul(dst, b *mat.Matrix, bBand int, tScratch *mat.Matrix, kc *kernelCounters) {
 	if k.csrT == nil && k.denseT == nil {
 		// Lazily-compiled (call-private) kernel: first backward use.
@@ -239,13 +256,17 @@ func (k *stepKernel) backwardMul(dst, b *mat.Matrix, bBand int, tScratch *mat.Ma
 		kc.banded.Add(1)
 		return
 	}
-	if 2*k.tNNZ < m*m {
+	if !k.tHalfDense {
 		mat.MulInto(dst, k.denseT, b)
+		return
+	}
+	kc.blocked.Add(1)
+	if mat.SIMD() {
+		mat.MulSIMDInto(dst, k.denseT, b)
 		return
 	}
 	mat.TransposeInto(tScratch, b)
 	mat.MulABtInto(dst, k.denseT, tScratch)
-	kc.blocked.Add(1)
 }
 
 // KernelStats summarises a model's (or plan's) compiled step kernels and
@@ -260,8 +281,8 @@ type KernelStats struct {
 	// counts as 1 regardless of its zero pattern.
 	Density float64 `json:"density"`
 	// Blocked and Banded count operator products executed through the
-	// blocked register-tiled and banded kernels (the adaptive dense
-	// dispatch; naive-loop products are not counted).
+	// blocked (AVX2 or register-tiled) and banded kernels (the adaptive
+	// dense dispatch; naive-loop products are not counted).
 	Blocked int64 `json:"blocked"`
 	Banded  int64 `json:"banded"`
 }
